@@ -32,7 +32,9 @@ Commands
     Run the crash-schedule torture suite: workloads under deterministic
     fault injection (crashes at every log interaction, torn forces,
     transient IO errors), auditing the recovery invariants after every
-    restart.  ``--inject-bug skip-commit-force`` runs the negative
+    restart.  An audit the dynamic-atomicity checker cannot decide
+    within its budget is reported as unchecked (exit 1).
+    ``--inject-bug skip-commit-force`` runs the negative
     control, which must be *detected* (exit 1).  ``--workers N`` fans
     the schedules over a process pool (byte-identical report; schedules
     lost to a worker death are retried once, then reported as failed

@@ -30,9 +30,14 @@ API mirrors the reference module: :func:`fast_find_serialization_order`,
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import AbstractSet, Dict, FrozenSet, List, Mapping, Optional, Set, Tuple
 
-from .atomicity import DynamicAtomicityViolation, SpecsLike, normalize_specs
+from .atomicity import (
+    DynamicAtomicityViolation,
+    SpecsLike,
+    TooManyOrdersError,
+    normalize_specs,
+)
 from .automaton_spec import StateMachineSpec
 from .events import OpSeq
 from .history import History
@@ -67,34 +72,29 @@ class _Problem:
     txns: Tuple[str, ...]
     succ: Dict[str, Tuple[str, ...]]
     indegree: Dict[str, int]
-    ops_by_txn: Dict[str, Dict[str, OpSeq]]  # txn -> obj -> ops
+    ops_by_txn: Dict[str, Mapping[str, OpSeq]]  # txn -> obj -> ops
     simulators: Dict[str, _ObjectSimulator]
 
 
 def _build_problem(
     history: History,
     specs: SpecsLike,
-    precedes: Set[Tuple[str, str]],
+    txns: FrozenSet[str],
+    precedes: AbstractSet[Tuple[str, str]],
 ) -> _Problem:
+    """The search problem over ``txns`` (``precedes`` pairs outside them
+    are ignored), whose operations are read from the history's one-pass
+    operation index."""
     spec_map = normalize_specs(specs)
-    txns = tuple(sorted(history.transactions()))
-    universe = set(txns)
-    succ: Dict[str, List[str]] = {t: [] for t in txns}
-    indegree: Dict[str, int] = {t: 0 for t in txns}
+    order = tuple(sorted(txns))
+    succ: Dict[str, List[str]] = {t: [] for t in order}
+    indegree: Dict[str, int] = {t: 0 for t in order}
     for a, b in precedes:
-        if a in universe and b in universe and a != b:
+        if a in txns and b in txns and a != b:
             if b not in succ[a]:
                 succ[a].append(b)
                 indegree[b] += 1
-    ops_by_txn: Dict[str, Dict[str, OpSeq]] = {}
-    for txn in txns:
-        per_obj: Dict[str, OpSeq] = {}
-        projected = history.project_transactions(txn)
-        for obj in projected.objects():
-            ops = projected.project_objects(obj).opseq()
-            if ops:
-                per_obj[obj] = ops
-        ops_by_txn[txn] = per_obj
+    ops_by_txn = {txn: history.object_operations(txn) for txn in order}
     objects = sorted({o for per in ops_by_txn.values() for o in per})
     simulators = {}
     for obj in objects:
@@ -103,7 +103,7 @@ def _build_problem(
             raise KeyError("no serial specification for object %r" % obj)
         simulators[obj] = _ObjectSimulator(spec)
     return _Problem(
-        txns,
+        order,
         {t: tuple(s) for t, s in succ.items()},
         indegree,
         ops_by_txn,
@@ -138,7 +138,7 @@ def fast_find_serialization_order(
     """Some legal serialization order of a failure-free history, or None."""
     if not history.failure_free():
         raise ValueError("serializability is defined for failure-free histories")
-    problem = _build_problem(history, specs, set())
+    problem = _build_problem(history, specs, history.transactions(), set())
     visited: Set = set()
 
     def dfs(done: FrozenSet[str], states, prefix: List[str]):
@@ -173,7 +173,7 @@ def fast_is_atomic(history: History, specs: SpecsLike) -> bool:
 
 
 def fast_find_dynamic_atomicity_violation(
-    history: History, specs: SpecsLike
+    history: History, specs: SpecsLike, *, max_configs: int = 100_000
 ) -> Optional[DynamicAtomicityViolation]:
     """A precedes-consistent order failing to serialize, or None.
 
@@ -181,14 +181,18 @@ def fast_find_dynamic_atomicity_violation(
     :func:`repro.core.atomicity.find_dynamic_atomicity_violation` but
     with prefix pruning and configuration memoization.  When a prefix
     dies, any precedes-consistent completion witnesses the violation
-    (prefix-closure), so one is manufactured greedily.
+    (prefix-closure), so one is manufactured greedily.  Exploring more
+    than ``max_configs`` configurations raises
+    :class:`~repro.core.atomicity.TooManyOrdersError`, the budget that
+    mirrors the reference's ``max_orders``.
+
+    ``permanent(H)`` is never materialized: a committed transaction's
+    operations are the same in ``H`` and in ``H|Committed(H)``, so they
+    come straight from the history's operation index.
     """
-    permanent = history.permanent()
-    txns = set(permanent.transactions())
-    precedes = {
-        (a, b) for (a, b) in history.precedes() if a in txns and b in txns
-    }
-    problem = _build_problem(permanent, specs, precedes)
+    problem = _build_problem(
+        history, specs, history.committed(), history.precedes()
+    )
     visited: Set = set()
     indegree = dict(problem.indegree)
 
@@ -224,6 +228,11 @@ def fast_find_dynamic_atomicity_violation(
         key = _config_key(done, states)
         if key in visited:
             return True
+        if len(visited) >= max_configs:
+            raise TooManyOrdersError(
+                "more than %d configurations for %d transactions"
+                % (max_configs, len(problem.txns))
+            )
         visited.add(key)
         for txn in problem.txns:
             if txn in done or indegree[txn] != 0:
@@ -249,5 +258,12 @@ def fast_find_dynamic_atomicity_violation(
     return violation[0] if violation else None
 
 
-def fast_is_dynamic_atomic(history: History, specs: SpecsLike) -> bool:
-    return fast_find_dynamic_atomicity_violation(history, specs) is None
+def fast_is_dynamic_atomic(
+    history: History, specs: SpecsLike, *, max_configs: int = 100_000
+) -> bool:
+    return (
+        fast_find_dynamic_atomicity_violation(
+            history, specs, max_configs=max_configs
+        )
+        is None
+    )

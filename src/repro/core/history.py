@@ -19,7 +19,8 @@ the derived notions the rest of the theory is phrased in:
   :meth:`History.project_transactions`),
 * ``Committed(H)``, ``Aborted(H)``, activity tests,
 * ``Opseq(H)`` — the operation sequence of a history
-  (:meth:`History.opseq`),
+  (:meth:`History.opseq`), and per transaction and object in one pass
+  (:meth:`History.operations_of`, :meth:`History.object_operations`),
 * ``permanent(H) = H | Committed(H)`` (:meth:`History.permanent`),
 * the ``precedes(H)`` relation used by dynamic atomicity
   (:meth:`History.precedes`), and ``Commit-order(H)`` used by the
@@ -36,6 +37,7 @@ from typing import (
     Iterable,
     Iterator,
     List,
+    Mapping,
     Optional,
     Sequence,
     Set,
@@ -55,6 +57,11 @@ from .events import (
     invoke,
     respond,
 )
+
+
+#: ``(txn -> Opseq(H|A), txn -> obj -> Opseq(H|A|X))``, cached per history.
+_OpIndex = Tuple[Dict[str, OpSeq], Dict[str, Dict[str, OpSeq]]]
+_NO_OPERATIONS: Mapping[str, OpSeq] = {}
 
 
 class IllFormedHistoryError(ValueError):
@@ -160,13 +167,14 @@ class History:
     construction).
     """
 
-    __slots__ = ("_events", "_opseq_cache")
+    __slots__ = ("_events", "_opseq_cache", "_op_index")
 
     def __init__(self, events: Iterable[Event] = (), *, validate: bool = True):
         self._events: Tuple[Event, ...] = tuple(events)
         if validate:
             _check_well_formed(self._events)
         self._opseq_cache: Optional[OpSeq] = None
+        self._op_index: Optional[_OpIndex] = None
 
     # -- sequence protocol -------------------------------------------------
 
@@ -299,9 +307,42 @@ class History:
             self._opseq_cache = tuple(ops)
         return self._opseq_cache
 
+    def _operation_index(self) -> _OpIndex:
+        """Every transaction's operations, overall and per object.
+
+        One walk over the events, pairing responses with pending
+        invocations exactly as :meth:`opseq` does; built on first use
+        and cached (the history is immutable).
+        """
+        if self._op_index is None:
+            pending: Dict[str, InvocationEvent] = {}
+            by_txn: Dict[str, List[Operation]] = {}
+            by_obj: Dict[str, Dict[str, List[Operation]]] = {}
+            for e in self._events:
+                if isinstance(e, InvocationEvent):
+                    pending[e.txn] = e
+                elif isinstance(e, ResponseEvent):
+                    op = Operation(e.obj, pending.pop(e.txn).invocation, e.response)
+                    by_txn.setdefault(e.txn, []).append(op)
+                    by_obj.setdefault(e.txn, {}).setdefault(e.obj, []).append(op)
+            self._op_index = (
+                {txn: tuple(ops) for txn, ops in by_txn.items()},
+                {
+                    txn: {obj: tuple(ops) for obj, ops in objs.items()}
+                    for txn, objs in by_obj.items()
+                },
+            )
+        return self._op_index
+
     def operations_of(self, txn: str) -> OpSeq:
         """``Opseq(H|A)`` — the operations executed by ``txn``, in order."""
-        return self.project_transactions(txn).opseq()
+        return self._operation_index()[0].get(txn, ())
+
+    def object_operations(self, txn: str) -> Mapping[str, OpSeq]:
+        """``Opseq(H|A|X)`` for every object ``X`` where ``txn`` executed
+        an operation.  The mapping is shared with the cache: read it, do
+        not modify it."""
+        return self._operation_index()[1].get(txn, _NO_OPERATIONS)
 
     def permanent(self) -> "History":
         """``permanent(H) = H | Committed(H)`` (Section 3.3)."""

@@ -158,11 +158,20 @@ class FaultPlan:
                 raise ValueError("two faults scheduled at interaction %d" % event.at)
             self._by_index[event.at] = event
         self.seed = seed
-        self.rng = random.Random(seed)
+        self._rng: Optional[random.Random] = None
         self.retry = retry or RetryPolicy()
         self.clock = 0
         #: faults that actually fired, as (event, op) pairs.
         self.fired: List[Tuple[FaultEvent, str]] = []
+
+    @property
+    def rng(self) -> random.Random:
+        """The plan's RNG, seeded from ``seed`` on first use.  Only a
+        torn force without an explicit ``keep`` draws from it, and a
+        campaign plans thousands of plans, so most never build one."""
+        if self._rng is None:
+            self._rng = random.Random(self.seed)
+        return self._rng
 
     def draw(self, op: str) -> Optional[FaultEvent]:
         """Advance the interaction clock; return the fault due now, if any."""

@@ -224,6 +224,10 @@ class Scheduler:
 
     def run(self) -> RunMetrics:
         """Run until every script commits or exhausts its restart budget."""
+        # Each run counts its own ticks from 0, as the trace does: a run
+        # resumed after a crash that already finished every script (crash
+        # recovery completed the last open commit) ends at tick 0.
+        self.metrics.ticks = 0
         if self.trace is not None:
             # Stamp run-start (and a possible instant run-end) with tick
             # 0: on torture re-entry the collector still carries the

@@ -13,7 +13,12 @@ crash — the harness restarts the system and audits three invariants:
    with the UIP or DU view matching the object's recovery method;
 2. **dynamic atomicity** — the surviving global history (crash-killed
    transactions appear as aborts, crash-resolved commits as commits)
-   still passes :func:`repro.core.atomicity.is_dynamic_atomic`;
+   is still dynamic atomic, decided by the memoized checker
+   :func:`repro.core.fast_atomicity.fast_is_dynamic_atomic` (the
+   reference enumerator :func:`repro.core.atomicity.is_dynamic_atomic`
+   is the tests' oracle for it).  A check that exceeds the checker's
+   configuration budget is counted as *unchecked*, and an unchecked
+   audit fails the campaign just as a violation does;
 3. **durability accounting** — reading the record-fate archive that
    survives truncation: every committed transaction with effects at an
    object has a *durable* commit marker there (commits are never lost),
@@ -39,7 +44,9 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..adts.registry import make_adt
-from ..core.atomicity import TooManyOrdersError, is_dynamic_atomic
+from ..core.atomicity import SpecsLike, TooManyOrdersError
+from ..core.fast_atomicity import fast_is_dynamic_atomic
+from ..core.history import History
 from ..core.views import DU, UIP
 from .durability import CrashableSystem, DurableObject
 from .faults import CrashPoint, FaultPlan, FaultyStableLog, RetryPolicy
@@ -61,6 +68,11 @@ PROBE = "__probe__"
 
 #: Stable-log record types that mark a commit point.
 COMMIT_MARKERS = (CommitRecord, IntentionsRecord)
+
+#: The audits' dynamic-atomicity decision, looked up as a module global
+#: at call time, so a test can swap in the reference oracle and the
+#: per-layer benchmark can wrap it.
+is_dynamic_atomic = fast_is_dynamic_atomic
 
 
 # ---------------------------------------------------------------------------
@@ -243,6 +255,7 @@ def audit_recovery(
     *,
     names: Optional[Sequence[str]] = None,
     check_atomicity: bool = True,
+    unchecked: Optional[List[str]] = None,
 ) -> List[Violation]:
     """Check the three torture invariants on a freshly restarted system.
 
@@ -253,7 +266,8 @@ def audit_recovery(
     always covers the *global* history — a shard-level crash must not be
     able to hide a global anomaly — and is the expensive invariant;
     ``check_atomicity=False`` lets a caller auditing shard after shard
-    of one system run it once instead of per shard.
+    of one system run it once instead of per shard.  See
+    :func:`audit_atomicity` for ``unchecked``.
     """
     violations: List[Violation] = []
     label = config.label()
@@ -318,21 +332,45 @@ def audit_recovery(
                     )
 
     # 2. the surviving global history is dynamic atomic.
-    if not check_atomicity:
-        return violations
-    try:
-        if not is_dynamic_atomic(system.history(), specs):
-            violations.append(
-                Violation(
-                    label,
-                    schedule,
-                    "dynamic-atomicity",
-                    "post-crash global history is not dynamic atomic",
-                )
+    if check_atomicity:
+        violations.extend(
+            audit_atomicity(
+                system.history(),
+                specs,
+                label,
+                schedule,
+                "post-crash global history is not dynamic atomic",
+                unchecked,
             )
-    except TooManyOrdersError:
-        pass  # combinatorial blowup: the other two invariants still ran
+        )
     return violations
+
+
+def audit_atomicity(
+    history: History,
+    specs: SpecsLike,
+    label: str,
+    schedule: str,
+    detail: str,
+    unchecked: Optional[List[str]] = None,
+) -> List[Violation]:
+    """The dynamic-atomicity invariant: no violation, or one.
+
+    A history the checker cannot decide within its configuration budget
+    raises :class:`~repro.core.atomicity.TooManyOrdersError`.  With an
+    ``unchecked`` list the audit records the schedule there and goes on
+    (the caller counts it, and an unchecked audit fails the campaign);
+    without one the error propagates.
+    """
+    try:
+        if is_dynamic_atomic(history, specs):
+            return []
+    except TooManyOrdersError:
+        if unchecked is None:
+            raise
+        unchecked.append(schedule)
+        return []
+    return [Violation(label, schedule, "dynamic-atomicity", detail)]
 
 
 # ---------------------------------------------------------------------------
@@ -350,6 +388,9 @@ class ScheduleResult:
     crashes: int
     committed: int
     faults_fired: int
+    #: dynamic-atomicity audits the checker could not decide within its
+    #: configuration budget.
+    unchecked: int
 
 
 def run_schedule(
@@ -374,6 +415,7 @@ def run_schedule(
     scripts = workload_for(config, adt, random.Random(seed))
     schedule = plan.describe()
     violations: List[Violation] = []
+    unchecked: List[str] = []
     if trace is not None:
         trace.emit("schedule-start", label=config.label(), plan=schedule)
 
@@ -403,11 +445,15 @@ def run_schedule(
             break
         except CrashPoint:
             victims = system.crash()
-            violations.extend(audit_recovery(system, config, schedule))
+            violations.extend(
+                audit_recovery(system, config, schedule, unchecked=unchecked)
+            )
             scheduler.handle_crash(victims)
     # Final clean crash: even a fault-free schedule must restart cleanly.
     system.crash()
-    violations.extend(audit_recovery(system, config, schedule))
+    violations.extend(
+        audit_recovery(system, config, schedule, unchecked=unchecked)
+    )
     scheduler.metrics.faults = counters
     return ScheduleResult(
         config=config.label(),
@@ -416,6 +462,7 @@ def run_schedule(
         crashes=system.crash_count,
         committed=scheduler.metrics.committed,
         faults_fired=len(plan.fired),
+        unchecked=len(unchecked),
     )
 
 
@@ -462,10 +509,13 @@ class TortureReport:
     #: dropped: ``ok`` is False whenever any cell failed, and the
     #: aggregates above cover completed schedules only.
     failed: List[str] = field(default_factory=list)
+    #: dynamic-atomicity audits left undecided by the checker's
+    #: configuration budget; like a violation, any of them fails ``ok``.
+    unchecked: int = 0
 
     @property
     def ok(self) -> bool:
-        return not self.violations and not self.failed
+        return not self.violations and not self.failed and not self.unchecked
 
     def format(self) -> str:
         lines = [
@@ -486,6 +536,8 @@ class TortureReport:
                 self.counters.torn_forces,
                 self.counters.records_lost,
             ),
+            "unchecked: %d dynamic-atomicity audits over the checker's "
+            "configuration budget" % self.unchecked,
         ]
         for label in sorted(self.per_config):
             lines.append("  %-28s %4d schedules" % (label, self.per_config[label]))
@@ -497,7 +549,7 @@ class TortureReport:
             lines.append("FAILED CELLS (%d):" % len(self.failed))
             for entry in self.failed:
                 lines.append("  " + entry)
-        if not self.violations and not self.failed:
+        if self.ok:
             lines.append("all invariants held")
         return "\n".join(lines)
 
@@ -637,6 +689,7 @@ def _merge_schedule(report: TortureReport, result: ScheduleResult) -> None:
     report.committed += result.committed
     report.faults_fired += result.faults_fired
     report.violations.extend(result.violations)
+    report.unchecked += result.unchecked
     report.per_config[result.config] = (
         report.per_config.get(result.config, 0) + 1
     )
@@ -690,7 +743,11 @@ def build_replicated_torture_system(
 
 
 def audit_replication(
-    system: ReplicatedSystem, config: TortureConfig, schedule: str
+    system: ReplicatedSystem,
+    config: TortureConfig,
+    schedule: str,
+    *,
+    unchecked: Optional[List[str]] = None,
 ) -> List[Violation]:
     """The replication-level invariants, checked at a quiescent moment
     (end of run, every site recovered):
@@ -703,6 +760,8 @@ def audit_replication(
       re-qualified copy (the ``skip-catchup`` negative control) surfaces
       here: the read's response is inconsistent with the committed
       writes in the logical history.
+
+    See :func:`audit_atomicity` for ``unchecked``.
     """
     violations: List[Violation] = []
     label = config.label()
@@ -738,20 +797,16 @@ def audit_replication(
                            reference_copy, sorted(map(repr, reference))),
                     )
                 )
-    try:
-        if not is_dynamic_atomic(
-            system.logical_history(), system.logical_specs()
-        ):
-            violations.append(
-                Violation(
-                    label,
-                    schedule,
-                    "dynamic-atomicity",
-                    "merged multi-site logical history is not dynamic atomic",
-                )
-            )
-    except TooManyOrdersError:
-        pass  # combinatorial blowup: convergence checks still ran
+    violations.extend(
+        audit_atomicity(
+            system.logical_history(),
+            system.logical_specs(),
+            label,
+            schedule,
+            "merged multi-site logical history is not dynamic atomic",
+            unchecked,
+        )
+    )
     return violations
 
 
@@ -777,6 +832,7 @@ def run_site_schedule(
     scripts = workload_for(config, adt, random.Random(seed))
     schedule = describe_site_schedule(crashes)
     violations: List[Violation] = []
+    unchecked: List[str] = []
     if trace is not None:
         trace.emit("schedule-start", label=config.label(), plan=schedule)
 
@@ -818,11 +874,15 @@ def run_site_schedule(
             if not system.site_up(site):
                 system.recover_site(site)
         system.poll_catchup()
-        violations.extend(audit_replication(system, config, schedule))
+        violations.extend(
+            audit_replication(system, config, schedule, unchecked=unchecked)
+        )
         # Final clean whole-system crash: every copy restarts from its
         # log and the single-site invariants must hold per copy.
         system.crash()
-        violations.extend(audit_recovery(system, config, schedule))
+        violations.extend(
+            audit_recovery(system, config, schedule, unchecked=unchecked)
+        )
     except ReplicationError as exc:
         # Lockstep divergence (a mirrored or replayed operation was not
         # legal at its copy) is itself a reportable invariant breach —
@@ -841,6 +901,7 @@ def run_site_schedule(
         crashes=sum(system.site_failures) + system.crash_count,
         committed=committed,
         faults_fired=len(crashes),
+        unchecked=len(unchecked),
     )
 
 

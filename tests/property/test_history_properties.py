@@ -29,6 +29,20 @@ def test_opseq_counts_response_events(h):
 
 
 @SETTINGS
+@given(well_formed_histories(max_events=24))
+def test_operation_index_matches_projections(h):
+    """The one-pass index pairs operations exactly as the projections do."""
+    for txn in TXNS:
+        projected = h.project_transactions(txn)
+        assert h.operations_of(txn) == projected.opseq()
+        per_object = h.object_operations(txn)
+        for obj in OBJECTS:
+            ops = projected.project_objects(obj).opseq()
+            assert per_object.get(obj, ()) == ops
+        assert all(per_object.values())  # only objects it operated on
+
+
+@SETTINGS
 @given(well_formed_histories())
 def test_status_partition(h):
     assert not (h.committed() & h.aborted())

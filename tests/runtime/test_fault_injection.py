@@ -227,6 +227,18 @@ class TestFaultyStableLog:
         assert survivors == ["T0", "T1"]  # a strict prefix, never a subset
         assert log.counters.torn_forces == 1
 
+    def test_torn_force_draws_keep_from_the_plan_seed(self):
+        plan = FaultPlan.crash_at(5, "crash-during-force", seed=77)
+        assert plan._rng is None  # built on first use only
+        log = FaultyStableLog(plan)
+        for i in range(5):
+            log.append(self._rec("T%d" % i))
+        with pytest.raises(CrashPoint):
+            log.force()
+        log.crash()
+        keep = random.Random(77).randint(0, 5)
+        assert [r.txn for r in log.records()] == ["T%d" % i for i in range(keep)]
+
     def test_io_error_burst_absorbed_with_backoff(self):
         plan = FaultPlan(
             [FaultEvent(0, "io-error", burst=2)],
