@@ -317,6 +317,8 @@ def _parse_site_crashes(specs, sites: int):
     ``S@F-R`` (recovers at tick R); ``S@F-end`` is the explicit
     spelling of "stays down", matching the torture schedule notation.
     """
+    from .runtime.replication import SiteCrash
+
     out = []
     for spec in specs or ():
         text = spec[4:] if spec.startswith("site") else spec
@@ -331,18 +333,10 @@ def _parse_site_crashes(specs, sites: int):
                 "--site-crash must look like S@F (site S down from tick F "
                 "on) or S@F-R (recovering at tick R), got %r" % spec
             )
-        if not 0 <= site < sites:
-            raise SystemExit(
-                "--site-crash site %d out of range 0..%d (see --sites)"
-                % (site, sites - 1)
-            )
-        if fail_tick < 1:
-            raise SystemExit("--site-crash fail tick must be >= 1")
-        if recover and recover <= fail_tick:
-            raise SystemExit(
-                "--site-crash recovery tick must be after the fail tick "
-                "(got %r)" % spec
-            )
+        try:
+            SiteCrash(site, fail_tick, recover).check(sites)
+        except ValueError as exc:
+            raise SystemExit("--site-crash %s (got %r; see --sites)" % (exc, spec))
         out.append((site, fail_tick, recover))
     return tuple(out)
 
@@ -352,10 +346,10 @@ def cmd_run(args) -> int:
     run metrics including the group-commit force accounting."""
     import random
 
-    from .runtime.durability import CrashableSystem, DurableObject
+    from .runtime.durability import CrashableSystem, build_durable_object
     from .runtime.scheduler import Scheduler
     from .runtime.torture import TortureConfig, workload_for
-    from .runtime.wal import GroupCommitPolicy, StableLog
+    from .runtime.wal import GroupCommitPolicy
 
     if args.adt not in ADT_REGISTRY:
         raise SystemExit(
@@ -368,13 +362,6 @@ def cmd_run(args) -> int:
     _check_min(args, (("sites", 1),))
     seed = args.seed_base + args.seed
     site_crashes = _parse_site_crashes(args.site_crash, args.sites)
-    if args.sites > 1 or site_crashes:
-        if args.workers > 1:
-            raise SystemExit(
-                "replicated runs keep every site's copies in lockstep "
-                "under one scheduler; use --workers 1"
-            )
-        return _cmd_run_replicated(args, seed, site_crashes)
     recovery = args.recovery.upper()
     config = TortureConfig(
         args.adt,
@@ -383,7 +370,15 @@ def cmd_run(args) -> int:
         ops_per_txn=args.ops,
         group_commit=args.group_commit,
         hold=args.hold,
+        sites=args.sites,
     )
+    if args.sites > 1 or site_crashes:
+        if args.workers > 1:
+            raise SystemExit(
+                "replicated runs keep every site's copies in lockstep "
+                "under one scheduler; use --workers 1"
+            )
+        return _cmd_run_replicated(args, config, seed, site_crashes)
     trace_count = None
     if args.workers > 1:
         # Route the cell through the parallel engine: same metrics, but
@@ -415,14 +410,8 @@ def cmd_run(args) -> int:
             trace_count = _count_jsonl(args.trace_out)
     else:
         adt = make_adt(args.adt)
-        conflict = (
-            adt.nrbc_conflict() if recovery == "UIP" else adt.nfc_conflict()
-        )
         policy = GroupCommitPolicy(args.group_commit, args.hold)
-        obj = DurableObject(
-            adt, conflict, recovery, log_factory=lambda: StableLog(policy=policy)
-        )
-        system = CrashableSystem([obj])
+        system = CrashableSystem([build_durable_object(adt, recovery, policy=policy)])
         scripts = workload_for(config, adt, random.Random(seed))
         trace = None
         if args.trace_out:
@@ -434,12 +423,7 @@ def cmd_run(args) -> int:
         ).run()
         if trace is not None:
             trace_count = trace.dump_jsonl(args.trace_out)
-    print("workload          : %s" % config.label())
-    print("group commit      : batch=%d hold=%d" % (args.group_commit, args.hold))
-    print("committed         : %d (aborted %d, deadlocks %d)"
-          % (metrics.committed, metrics.aborted, metrics.deadlocks))
-    print("ticks             : %d (throughput %.4f)"
-          % (metrics.ticks, metrics.throughput))
+    _print_run(config, args, metrics)
     print("forces            : %d physical (%d requests, %d records flushed)"
           % (metrics.forces, metrics.force_requests, metrics.forced_records))
     print("avg batch size    : %.2f" % metrics.avg_batch_size)
@@ -452,27 +436,25 @@ def cmd_run(args) -> int:
     return 0
 
 
-def _cmd_run_replicated(args, seed: int, site_crashes) -> int:
+def _print_run(config, args, metrics) -> None:
+    """The report lines every ``repro run`` prints first."""
+    print("workload          : %s" % config.label())
+    print("group commit      : batch=%d hold=%d" % (args.group_commit, args.hold))
+    print("committed         : %d (aborted %d, deadlocks %d)"
+          % (metrics.committed, metrics.aborted, metrics.deadlocks))
+    print("ticks             : %d (throughput %.4f)"
+          % (metrics.ticks, metrics.throughput))
+
+
+def _cmd_run_replicated(args, config, seed: int, site_crashes) -> int:
     """``repro run --sites N``: the same workload against a replicated
     system, with ``--site-crash`` schedules fired from the tick clock."""
     import random
 
-    from .runtime.scheduler import Scheduler, schedule_wake
-    from .runtime.torture import (
-        TortureConfig,
-        build_replicated_torture_system,
-        workload_for,
-    )
+    from .runtime.replication import site_crash_hook
+    from .runtime.scheduler import Scheduler
+    from .runtime.torture import build_replicated_torture_system, workload_for
 
-    config = TortureConfig(
-        args.adt,
-        args.recovery.upper(),
-        transactions=args.transactions,
-        ops_per_txn=args.ops,
-        group_commit=args.group_commit,
-        hold=args.hold,
-        sites=args.sites,
-    )
     system, adt = build_replicated_torture_system(config)
     scripts = workload_for(config, adt, random.Random(seed))
     trace = None
@@ -481,45 +463,17 @@ def _cmd_run_replicated(args, seed: int, site_crashes) -> int:
 
         trace = TraceCollector()
 
-    def drive_sites(tick: int) -> bool:
-        progressed = False
-        for site, fail_tick, recover_tick in site_crashes:
-            if fail_tick == tick and system.site_up(site):
-                scheduler.handle_crash(system.fail_site(site), tick)
-                progressed = True
-            if (
-                recover_tick
-                and recover_tick == tick
-                and not system.site_up(site)
-            ):
-                system.recover_site(site)
-                progressed = True
-        return progressed
-
-    drive_sites.next_wake = schedule_wake(
-        t for _, fail_tick, recover_tick in site_crashes
-        for t in (fail_tick, recover_tick)
-    )
-
     scheduler = Scheduler(
         system,
         scripts,
         seed=seed,
         label=config.label(),
         trace=trace,
-        on_tick=drive_sites,
     )
+    scheduler.on_tick = site_crash_hook(system, site_crashes, scheduler)
     metrics = scheduler.run()
-    for site in range(args.sites):
-        if not system.site_up(site):
-            system.recover_site(site)
-    system.poll_catchup()
-    print("workload          : %s" % config.label())
-    print("group commit      : batch=%d hold=%d" % (args.group_commit, args.hold))
-    print("committed         : %d (aborted %d, deadlocks %d)"
-          % (metrics.committed, metrics.aborted, metrics.deadlocks))
-    print("ticks             : %d (throughput %.4f)"
-          % (metrics.ticks, metrics.throughput))
+    system.recover_all_sites()
+    _print_run(config, args, metrics)
     for row in system.force_accounting_by_site():
         site = row["site"]
         print(

@@ -64,7 +64,6 @@ from .recovery import (
 from .scheduler import Scheduler, TransactionScript, run_scripts
 from .sharding import (
     ShardedSystem,
-    ShardTrace,
     audit_shard,
     build_sharded_system,
     shard_of,
@@ -178,7 +177,6 @@ __all__ = [
     "stitch_trace_shards",
     "trace_shard_paths",
     "ShardedSystem",
-    "ShardTrace",
     "shard_of",
     "build_sharded_system",
     "audit_shard",

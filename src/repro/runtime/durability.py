@@ -8,11 +8,12 @@ under the discipline matching the recovery method, so the object can be
 killed) and *restarted* from stable storage.
 
 :class:`CrashableSystem` lifts crashing to a multi-object
-:class:`~repro.runtime.system.TransactionSystem`: a crash aborts every
-active transaction (appending their abort events keeps the global
+:class:`~repro.runtime.system.TransactionSystem`: a crash of a failure
+domain — every object, one shard or one site — aborts every active
+transaction there (appending their abort events keeps the global
 history well formed, so the core checkers can audit executions that
-span crashes) and restarts every object, after which new transactions
-see exactly the committed state.
+span crashes) and restarts the domain's objects, after which new
+transactions see exactly the committed state.
 
 The central invariant, tested across ADTs, crash points and logging
 policies: *restart reproduces the abstract view of the post-crash
@@ -26,7 +27,8 @@ transaction aborted.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set
+from functools import partial
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..adts.base import ADT
 from ..core.conflict import ConflictRelation
@@ -34,7 +36,7 @@ from ..core.events import Invocation, Operation
 from .lock_manager import LockManager
 from .recovery import DeferredUpdateManager, UpdateInPlaceManager
 from .system import ManagedObject, TransactionSystem
-from .wal import RedoOnlyLog, UndoRedoLog
+from .wal import GroupCommitPolicy, RedoOnlyLog, StableLog, UndoRedoLog
 
 
 class DurableObject(ManagedObject):
@@ -178,10 +180,6 @@ class DurableObject(ManagedObject):
 
     # -- crash / restart --------------------------------------------------------------
 
-    def in_flight(self) -> Set[str]:
-        """Transactions with volatile effects or pending invocations here."""
-        return set(self.locks.holders()) | set(self._pending)
-
     def crash_kill(self, txn: str) -> None:
         """Record that ``txn`` died in a crash.
 
@@ -257,66 +255,139 @@ class DurableObject(ManagedObject):
 
 
 class CrashableSystem(TransactionSystem):
-    """A transaction system whose objects can all crash at once."""
+    """A transaction system whose objects crash by failure domain.
+
+    A failure domain is any set of objects that crash together: every
+    object (:meth:`crash`), one shard
+    (:meth:`~repro.runtime.sharding.ShardedSystem.crash_shard`) or one
+    site (:meth:`~repro.runtime.replication.ReplicatedSystem.fail_site`).
+    Dynamic atomicity is local (Theorem 2), so one protocol,
+    :meth:`_crash_domain`, serves them all.
+    """
+
+    #: the kind of failure domain (``"shard"``, ``"site"``) whose id
+    #: stamps every object and log trace event; ``None`` leaves a flat
+    #: system's events unstamped.
+    domain_key: Optional[str] = None
 
     def __init__(self, objects: Sequence[DurableObject]):
         super().__init__(objects)
         self.crash_count = 0
 
+    def domain_of(self, name: str) -> int:
+        """The failure domain holding object ``name`` (0 when flat)."""
+        return 0
+
+    def _domain_objects(self, domain: int, count: int) -> List[str]:
+        """The sorted object names of ``domain``, one of ``count``."""
+        if not 0 <= domain < count:
+            raise ValueError(
+                "%s must be in 0..%d (got %d)" % (self.domain_key, count - 1, domain)
+            )
+        return sorted(n for n in self.objects if self.domain_of(n) == domain)
+
+    def bind_trace(self, collector) -> None:
+        """Bind a trace collector (see :meth:`TraceCollector.bind_system`,
+        which stamps object and log events with :attr:`domain_key`)."""
+        collector.bind_system(self)
+
+    def _force_accounting_by_domain(self, count: int) -> List[Dict[str, int]]:
+        """``(forces, force_requests, forced_records)`` per failure domain."""
+        rows = [
+            {self.domain_key: k, "forces": 0, "force_requests": 0, "forced_records": 0}
+            for k in range(count)
+        ]
+        for name, obj in self.objects.items():
+            log = obj.wal.log
+            row = rows[self.domain_of(name)]
+            row["forces"] += log.forces
+            row["force_requests"] += log.force_requests
+            row["forced_records"] += log.forced_records
+        return rows
+
     def crash(self) -> Set[str]:
-        """Whole-system crash: lose storage tails, resolve in-doubt
-        commits, kill the rest, restart every object.
+        """Whole-system crash: every object is the failure domain.
+
+        Runs :meth:`_crash_domain` over every object, then every object
+        loses its volatile state and restarts from its stable log.
+        Returns the set of transactions killed by the crash (resolved
+        commits are *not* victims — their scripts finished).
+        """
+        self.crash_count += 1
+        names = tuple(self.objects)
+        victims, _ = self._crash_domain(names, "crash")
+        for name in names:
+            self.objects[name].crash_and_restart()
+        return victims
+
+    def _crash_domain(
+        self, names: Sequence[str], event: str, **fields
+    ) -> Tuple[Set[str], List[str]]:
+        """Crash the objects ``names``; the others keep running.
 
         The crash protocol, in order:
 
         1. mirror any object-local events the interrupted call never
            reported into the global history (the crash may have unwound
            ``invoke``/``commit`` mid-flight);
-        2. every stable log loses its volatile tail — including any
-           *held group-commit batch*, whose records were appended but
-           never physically flushed (no-op for the base
-           durable-on-append log without batching;
-           :class:`~repro.runtime.faults.FaultyStableLog` drops
-           unforced records per the fault that fired);
-        3. **in-doubt resolution**: a transaction interrupted during the
-           commit protocol is committed iff its commit point — a durable
-           commit record at at least one object it touched — was
-           reached; if so, the commit is *completed* at its remaining
-           objects (durable commit record + commit event), never
-           retracted where it already happened;
-        4. every other in-flight transaction is killed: no undo, no log
-           records, just the abort events that keep the bookkeeping
-           history well formed and auditable; active read-only snapshot
-           transactions (volatile registrations, no locks, no events)
-           are killed too;
-        5. every object loses its volatile state and restarts from its
-           stable log.
+        2. commit pipelines that touched a failed object die with it;
+           the failed objects' stable logs, in ``names`` order, lose
+           their volatile tails — including any *held group-commit
+           batch*, whose records were appended but never physically
+           flushed (:class:`~repro.runtime.faults.FaultyStableLog`
+           drops unforced records per the fault that fired);
+        3. active read-only snapshot transactions die with their
+           volatile registration: all of them when the domain is every
+           object, else those that read from the domain.  Version
+           chains only hold durably committed versions and are never
+           retracted, so a reader confined to healthy objects keeps a
+           valid snapshot;
+        4. **in-doubt resolution** for every unfinished transaction
+           that touched the domain: it is committed iff its commit
+           point — a durable commit record at at least one object it
+           touched — was reached.  Resolution completes, never
+           retracts: failed objects complete the commit through the
+           recovery path, healthy objects through the normal pipeline
+           (:meth:`_complete_surviving_commit`).  Every other such
+           transaction is killed everywhere: failed objects record only
+           the abort event (no undo, no log records — a crash gives no
+           chance for either), healthy objects abort cleanly.
 
-        Returns the set of transactions killed by the crash (resolved
-        commits are *not* victims — their scripts finished).
+        The protocol ends by emitting the trace ``event`` with
+        ``fields``, ``victims`` and ``resolved``.  The caller restarts
+        the failed objects (or, for a site failure, keeps them down).
+        Returns ``(victims, resolved)``: the transactions killed, and
+        the in-doubt commits completed, in order.
         """
-        self.crash_count += 1
+        domain = set(names)
         self._sync_events()
-        # Commit pipelines die with the process: a transaction that was
-        # waiting on a held batch is resolved below purely from whatever
-        # records its batch actually flushed.
-        self._committing.clear()
-        for obj in self.objects.values():
-            obj.wal.log.crash()
+        doomed = [
+            txn
+            for txn, pending in self._committing.items()
+            if not domain.isdisjoint(pending.touched)
+        ]
+        for txn in doomed:
+            del self._committing[txn]
+        for name in names:
+            self.objects[name].wal.log.crash()
+        candidates = sorted(
+            txn
+            for txn, touched in self._touched.items()
+            if txn not in self._finished and not domain.isdisjoint(touched)
+        )
+        whole = len(domain) == len(self.objects)
+        readers = sorted(
+            txn
+            for txn in self._ro_active
+            if whole or not domain.isdisjoint(self._ro_touched.get(txn, ()))
+        )
         victims: Set[str] = set()
-        # Active snapshot readers die with the process: their snapshot
-        # registration is volatile state.  The version chains themselves
-        # only hold durably committed versions, so nothing is retracted
-        # — restarted readers simply take a fresh snapshot.
-        for txn in sorted(self._ro_active):
+        for txn in readers:
             del self._ro_active[txn]
             self._finished[txn] = "aborted"
             victims.add(txn)
-        candidates = [
-            txn for txn in self._touched if txn not in self._finished
-        ]
         resolved: List[str] = []
-        for txn in sorted(candidates):
+        for txn in candidates:
             touched = sorted(self._touched[txn])
             reached_commit_point = any(
                 self.objects[name].wal.has_durable_commit(txn)
@@ -324,7 +395,10 @@ class CrashableSystem(TransactionSystem):
             )
             if reached_commit_point:
                 for name in touched:
-                    self.objects[name].crash_commit(txn)
+                    if name in domain:
+                        self.objects[name].crash_commit(txn)
+                    else:
+                        self._complete_surviving_commit(name, txn)
                 self._finished[txn] = "committed"
                 resolved.append(txn)
                 # The commit is durable everywhere it touched: give it a
@@ -333,17 +407,66 @@ class CrashableSystem(TransactionSystem):
                 self._install_versions(txn, touched)
             else:
                 for name in touched:
-                    self.objects[name].crash_kill(txn)
+                    if name in domain:
+                        self.objects[name].crash_kill(txn)
+                    else:
+                        self.objects[name].abort(txn)
                 self._finished[txn] = "aborted"
                 victims.add(txn)
+                self._drop_txn(txn)
         self._sync_events()
         if self.trace is not None:
-            self.trace.emit(
-                "crash", victims=sorted(victims), resolved=resolved
-            )
-        for obj in self.objects.values():
-            obj.crash_and_restart()
-        return victims
+            self.trace.emit(event, **fields, victims=sorted(victims), resolved=resolved)
+        return victims, resolved
+
+    def _complete_surviving_commit(self, name: str, txn: str) -> None:
+        """Finish an in-doubt commit at a healthy (non-crashed) object.
+
+        The object's volatile state is intact, so the commit completes
+        through the normal pipeline rather than the recovery path: make
+        the commit record durable (forcing the log if a held batch was
+        still parking it), then acknowledge — release locks, apply the
+        recovery manager's completion, record the commit event.
+        """
+        obj = self.objects[name]
+        if not obj.wal.has_durable_commit(txn):
+            # Either the commit record is sitting in a held batch, or it
+            # was never submitted; a force after (re)submission covers
+            # both, and duplicate commit records are harmless to replay.
+            obj.submit_commit(txn)
+            if not obj.commit_ready(txn):
+                obj.wal.log.force()
+        obj.complete_commit(txn)
+        self._sync_events(name)
+
+    def _drop_txn(self, txn: str) -> None:
+        """Forget a killed transaction's bookkeeping beyond the base
+        system's (none here; replication keeps a logical history)."""
+
+
+def build_durable_object(
+    adt: ADT,
+    recovery: str = "DU",
+    *,
+    policy: Optional[GroupCommitPolicy] = None,
+    log_factory=None,
+    conflict: Optional[ConflictRelation] = None,
+    **options,
+) -> DurableObject:
+    """A durable object under its recovery method's conflict relation.
+
+    The relation is NRBC under UIP and NFC under DU (Theorems 9 and 10)
+    unless ``conflict`` is given.  The object's stable log is built by
+    ``log_factory``, or is a :class:`~repro.runtime.wal.StableLog` under
+    the group-commit ``policy``.  ``options`` go to
+    :class:`DurableObject`.
+    """
+    recovery = recovery.upper()
+    if conflict is None:
+        conflict = adt.nrbc_conflict() if recovery == "UIP" else adt.nfc_conflict()
+    if log_factory is None:
+        log_factory = partial(StableLog, policy=policy)
+    return DurableObject(adt, conflict, recovery, log_factory=log_factory, **options)
 
 
 def run_with_crashes(

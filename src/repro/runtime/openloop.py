@@ -45,8 +45,10 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from .durability import CrashableSystem
 from .metrics import RunMetrics
-from .scheduler import Scheduler, TransactionScript, schedule_wake
+from .replication import SiteCrash, build_replicated_system, site_crash_hook
+from .scheduler import Scheduler, TransactionScript
 from .sharding import ShardedSystem, build_sharded_system, shard_of
 from .trace import PERCENTILES, TraceCollector, _percentile
 from .workloads import _script
@@ -135,19 +137,7 @@ class OpenLoopConfig:
         if self.sites > 1 and self.cross_shard > 0:
             raise ValueError("cross_shard needs shards > 1, not replication")
         for row in self.site_crashes:
-            site, fail_tick, recover_tick = row
-            if not 0 <= site < self.sites:
-                raise ValueError(
-                    "site_crashes site %d out of range 0..%d"
-                    % (site, self.sites - 1)
-                )
-            if fail_tick < 1:
-                raise ValueError("site_crashes fail_tick must be >= 1")
-            if recover_tick and recover_tick <= fail_tick:
-                raise ValueError(
-                    "site_crashes recover_tick must be 0 (never) or "
-                    "> fail_tick"
-                )
+            SiteCrash(*row).check(self.sites)
 
     def label(self) -> str:
         base = "drive/%s/%s/s%d/r%g/z%g" % (
@@ -545,11 +535,16 @@ def _drive_inline(
         latencies=latencies,
         per_shard=per_shard,
     )
+    return _end_drive(collector, report)
+
+
+def _end_drive(collector: TraceCollector, report: DriveReport) -> DriveReport:
+    """Close the drive's trace segment with its latency summary."""
     lat = report.latency_summary()
     collector.emit(
         "drive-end",
-        label=config.label(),
-        committed=metrics.committed,
+        label=report.label,
+        committed=report.metrics.committed,
         p50=lat["p50"],
         p95=lat["p95"],
         p99=lat["p99"],
@@ -558,14 +553,15 @@ def _drive_inline(
 
 
 def _run_shard(
-    system: ShardedSystem,
+    system: CrashableSystem,
     scripts: Sequence[Tuple[TransactionScript, int]],
     config: OpenLoopConfig,
     *,
     seed: int,
     trace: Optional[TraceCollector],
 ) -> RunMetrics:
-    """One scheduler pass over ``scripts`` with open-loop arrivals."""
+    """One scheduler pass over ``scripts`` with open-loop arrivals,
+    firing ``config.site_crashes`` on a replicated system."""
     arrivals = {script.name: tick for script, tick in scripts}
     last = max(arrivals.values(), default=0)
     scheduler = Scheduler(
@@ -580,6 +576,8 @@ def _run_shard(
         trace=trace,
         arrivals=arrivals,
     )
+    if config.site_crashes:
+        scheduler.on_tick = site_crash_hook(system, config.site_crashes, scheduler)
     return scheduler.run()
 
 
@@ -628,8 +626,6 @@ def _drive_replicated(
     mid-run, and the report's ``availability`` is the committed
     fraction of the offered load.
     """
-    from .replication import build_replicated_system
-
     collector = trace if trace is not None else TraceCollector()
     rng = random.Random(seed)
     scripts = open_loop_scripts(config, rng)
@@ -649,45 +645,9 @@ def _drive_replicated(
         arrival_rate=config.arrival_rate,
     )
     first_event = len(collector.events)
-    arrivals = {script.name: tick for script, tick in scripts}
-    last = max(arrivals.values(), default=0)
-
-    def drive_sites(tick: int) -> bool:
-        progressed = False
-        for site, fail_tick, recover_tick in config.site_crashes:
-            if fail_tick == tick and system.site_up(site):
-                victims = system.fail_site(site)
-                scheduler.handle_crash(victims, tick)
-                progressed = True
-            if recover_tick and recover_tick == tick and not system.site_up(
-                site
-            ):
-                system.recover_site(site)
-                progressed = True
-        return progressed
-
-    drive_sites.next_wake = schedule_wake(
-        t for _, fail_tick, recover_tick in config.site_crashes
-        for t in (fail_tick, recover_tick)
-    )
-
     start = time.perf_counter()
-    scheduler = Scheduler(
-        system,
-        [script for script, _ in scripts],
-        seed=seed,
-        label=config.label(),
-        max_restarts=config.max_restarts,
-        max_ticks=max(config.max_ticks, last + 10_000),
-        trace=collector,
-        arrivals=arrivals,
-        on_tick=drive_sites,
-    )
-    metrics = scheduler.run()
-    for site in range(config.sites):
-        if not system.site_up(site):
-            system.recover_site(site)
-    system.poll_catchup()
+    metrics = _run_shard(system, scripts, config, seed=seed, trace=collector)
+    system.recover_all_sites()
     wall = time.perf_counter() - start
     segment = collector.events[first_event:]
     latencies = _latencies_from_trace(segment)
@@ -721,16 +681,7 @@ def _drive_replicated(
         sites=config.sites,
         per_site=per_site,
     )
-    lat = report.latency_summary()
-    collector.emit(
-        "drive-end",
-        label=config.label(),
-        committed=metrics.committed,
-        p50=lat["p50"],
-        p95=lat["p95"],
-        p99=lat["p99"],
-    )
-    return report
+    return _end_drive(collector, report)
 
 
 # ---------------------------------------------------------------------------
@@ -788,23 +739,21 @@ def _build_shard_subsystem(
     """A sharded system holding only ``shard``'s objects, all sharing one
     derived conflict relation and one compiled bitmask table."""
     from ..adts.registry import make_adt
-    from .durability import DurableObject
-    from .wal import GroupCommitPolicy, StableLog
+    from .durability import build_durable_object
+    from .wal import GroupCommitPolicy
 
     policy = GroupCommitPolicy(config.group_commit, config.hold)
-    objects = []
-    for name in config.object_names():
-        if shard_of(name, config.shards) != shard:
-            continue
-        objects.append(
-            DurableObject(
-                make_adt(config.adt_kind, name),
-                conflict,
-                config.recovery.upper(),
-                log_factory=lambda: StableLog(policy=policy),
-                compiled_conflicts=compiled if compiled is not None else False,
-            )
+    objects = [
+        build_durable_object(
+            make_adt(config.adt_kind, name),
+            config.recovery,
+            policy=policy,
+            conflict=conflict,
+            compiled_conflicts=compiled if compiled is not None else False,
         )
+        for name in config.object_names()
+        if shard_of(name, config.shards) == shard
+    ]
     return ShardedSystem(objects, shards=config.shards)
 
 

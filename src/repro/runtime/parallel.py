@@ -560,10 +560,10 @@ def _execute_run(cell: Cell, trace: Optional[TraceCollector]) -> Any:
     import random
 
     from ..adts.registry import make_adt
-    from .durability import CrashableSystem, DurableObject
+    from .durability import CrashableSystem, build_durable_object
     from .scheduler import Scheduler
     from .torture import TortureConfig, workload_for
-    from .wal import GroupCommitPolicy, StableLog
+    from .wal import GroupCommitPolicy
 
     spec = cell.spec
     recovery = str(spec.get("recovery", "DU")).upper()
@@ -578,12 +578,8 @@ def _execute_run(cell: Cell, trace: Optional[TraceCollector]) -> Any:
         hold=hold,
     )
     adt = make_adt(spec["adt"])
-    conflict = adt.nrbc_conflict() if recovery == "UIP" else adt.nfc_conflict()
     policy = GroupCommitPolicy(group_commit, hold)
-    obj = DurableObject(
-        adt, conflict, recovery, log_factory=lambda: StableLog(policy=policy)
-    )
-    system = CrashableSystem([obj])
+    system = CrashableSystem([build_durable_object(adt, recovery, policy=policy)])
     scripts = workload_for(config, adt, random.Random(cell.seed))
     return Scheduler(
         system, scripts, seed=cell.seed, label=config.label(), trace=trace

@@ -28,15 +28,17 @@ data types:
   transaction spanning sites simply prepares and forces on each site's
   own logs.  The commit point is a durable commit record at any touched
   copy, exactly as before.
-* **Site failure** (:meth:`ReplicatedSystem.fail_site`) is the
-  ``crash_shard`` protocol generalized across sites: the site's logs
-  lose their volatile tails, and every unfinished transaction that
-  touched the site is resolved by the *surviving-commit-record* rule —
-  committed iff a commit record survives at any touched copy (durable
-  on the dead site's log, or still held at a healthy site, which forces
-  it durable during resolution); resolution completes, never retracts.
-  Unlike a shard crash the site then stays **down**: its copies leave
-  the available set until :meth:`ReplicatedSystem.recover_site`.
+* **Site failure** (:meth:`ReplicatedSystem.fail_site`) is the shared
+  crash protocol
+  (:meth:`~repro.runtime.durability.CrashableSystem._crash_domain`)
+  with the site as the failure domain: the site's logs lose their
+  volatile tails, and every unfinished transaction that touched the
+  site is resolved by the *surviving-commit-record* rule — committed
+  iff a commit record survives at any touched copy (durable on the dead
+  site's log, or still held at a healthy site, which forces it durable
+  during resolution); resolution completes, never retracts.  Unlike a
+  whole-system or shard crash the site then stays **down**: its copies
+  leave the available set until :meth:`ReplicatedSystem.recover_site`.
 * **Recovery rule** (the protocol's heart): a recovered replica serves
   *writes immediately, reads only after a committed write to that
   copy*.  On :meth:`~ReplicatedSystem.recover_site` each copy restarts
@@ -85,7 +87,7 @@ demonstrates the audit catches exactly that).
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from ..core.events import (
     Event,
@@ -97,8 +99,9 @@ from ..core.events import (
     respond as respond_event,
 )
 from ..core.history import History
-from .durability import CrashableSystem, DurableObject
+from .durability import CrashableSystem, DurableObject, build_durable_object
 from .errors import UnknownObjectError
+from .scheduler import schedule_wake
 from .system import OperationOutcome
 
 
@@ -117,23 +120,10 @@ def copy_name(logical: str, site: int) -> str:
     return logical if site == 0 else "%s@s%d" % (logical, site)
 
 
-class SiteTrace:
-    """Per-site emit proxy: stamps every event with its site id (the
-    replication counterpart of :class:`~repro.runtime.sharding.ShardTrace`)."""
-
-    __slots__ = ("_inner", "site")
-
-    def __init__(self, inner, site: int) -> None:
-        self._inner = inner
-        self.site = site
-
-    def emit(self, kind: str, **fields) -> None:
-        fields.setdefault("site", self.site)
-        self._inner.emit(kind, **fields)
-
-
 class ReplicatedSystem(CrashableSystem):
     """A crashable system whose objects are replicated across N sites."""
+
+    domain_key = "site"
 
     def __init__(
         self,
@@ -226,6 +216,8 @@ class ReplicatedSystem(CrashableSystem):
     def site_of_copy(self, name: str) -> int:
         return self._copy_site[name]
 
+    domain_of = site_of_copy
+
     def copies_of(self, logical: str) -> Tuple[str, ...]:
         return self._logical[logical]
 
@@ -254,36 +246,11 @@ class ReplicatedSystem(CrashableSystem):
         """Logical name -> ADT spec, for the global audit."""
         return {name: self.objects[name].adt for name in self._logical}
 
-    # -- tracing -----------------------------------------------------------------
-
-    def bind_trace(self, collector) -> None:
-        """Bind a trace collector, stamping object/log events per site."""
-        self.trace = collector
-        for name, obj in self.objects.items():
-            proxy = SiteTrace(collector, self._copy_site[name])
-            obj.trace = proxy
-            log = getattr(getattr(obj, "wal", None), "log", None)
-            if log is not None:
-                log.trace = proxy
-                log.trace_name = name
-
     # -- per-site accounting -------------------------------------------------------
 
     def force_accounting_by_site(self) -> List[Dict[str, int]]:
         """``(forces, force_requests, forced_records)`` per site."""
-        rows = [
-            {"site": k, "forces": 0, "force_requests": 0, "forced_records": 0}
-            for k in range(self.sites)
-        ]
-        for name, obj in self.objects.items():
-            log = getattr(getattr(obj, "wal", None), "log", None)
-            if log is None:
-                continue
-            row = rows[self._copy_site[name]]
-            row["forces"] += log.forces
-            row["force_requests"] += log.force_requests
-            row["forced_records"] += log.forced_records
-        return rows
+        return self._force_accounting_by_domain(self.sites)
 
     # -- operation routing ---------------------------------------------------------
 
@@ -394,6 +361,14 @@ class ReplicatedSystem(CrashableSystem):
         The copy's state equals the authority's (lockstep invariant) and
         the response was pre-checked lock-free there, so the forced
         choice must succeed; anything else is divergence and raises."""
+        self._apply_forced(name, txn, operation, "mirror", ": copies diverged")
+
+    def _apply_forced(
+        self, name: str, txn: str, operation: Operation, action: str, detail: str = ""
+    ) -> None:
+        """Execute ``operation`` at copy ``name`` for ``txn`` with its
+        response forced; raise :class:`ReplicationError` if the copy
+        cannot produce it."""
         obj = self.objects[name]
         want = operation.response
         previous = obj._response_chooser
@@ -403,8 +378,8 @@ class ReplicatedSystem(CrashableSystem):
                 if response == want:
                     return response, op
             raise ReplicationError(
-                "mirror of %s=%r not enabled at %s: copies diverged"
-                % (operation.invocation, want, name)
+                "%s of %s=%r not enabled at %s%s"
+                % (action, operation.invocation, want, name, detail)
             )
 
         obj._response_chooser = chooser
@@ -414,8 +389,8 @@ class ReplicatedSystem(CrashableSystem):
             obj._response_chooser = previous
         if not outcome.ok:
             raise ReplicationError(
-                "mirror of %s=%r %s at %s: copies diverged"
-                % (operation.invocation, want, outcome.status, name)
+                "%s of %s=%r %s at %s%s"
+                % (action, operation.invocation, want, outcome.status, name, detail)
             )
 
     # -- commit / abort bookkeeping -------------------------------------------------
@@ -475,100 +450,28 @@ class ReplicatedSystem(CrashableSystem):
     def fail_site(self, site: int) -> Set[str]:
         """Crash one site and keep it down until :meth:`recover_site`.
 
-        The ``crash_shard`` protocol generalized across sites: the
-        site's stable logs lose their volatile tails (held group-commit
-        batches die unflushed), every unfinished transaction that
-        touched the site is resolved by the surviving-commit-record rule
-        — completed everywhere (healthy copies force their records
-        durable) or killed everywhere — and read-only snapshot readers
-        that observed the site die with their registrations.  The site's
-        copies leave the available set; they restart from their logs at
-        recovery time.  Returns the transactions killed.
+        The site's copies leave the available set, then the crash
+        protocol
+        (:meth:`~repro.runtime.durability.CrashableSystem._crash_domain`)
+        runs over them: their stable logs lose their volatile tails,
+        every unfinished transaction that touched the site is completed
+        everywhere (healthy copies force their records durable) or
+        killed everywhere, and read-only snapshot readers that observed
+        the site die with their registrations.  The copies restart from
+        their logs at recovery time.  Returns the transactions killed.
         """
-        if not 0 <= site < self.sites:
-            raise ValueError(
-                "site must be in 0..%d (got %d)" % (self.sites - 1, site)
-            )
+        names = self._domain_objects(site, self.sites)
         if not self._site_up[site]:
             raise ReplicationError("site %d is already down" % site)
         self._site_up[site] = False
         self.site_failures[site] += 1
-        names = {c for c, s in self._copy_site.items() if s == site}
-        self._sync_events()
-        self._current -= names
-        self._qualified -= names
-        self._pending_catchup -= names
-        doomed = [
-            txn
-            for txn, pending in self._committing.items()
-            if names.intersection(pending.touched)
-        ]
-        for txn in doomed:
-            del self._committing[txn]
-        for name in sorted(names):
-            self.objects[name].wal.log.crash()
-        candidates = [
-            txn
-            for txn, touched in self._touched.items()
-            if txn not in self._finished and touched & names
-        ]
-        victims: Set[str] = set()
-        ro_victims = [
-            txn
-            for txn, observed in self._ro_touched.items()
-            if txn in self._ro_active and observed & names
-        ]
-        for txn in sorted(ro_victims):
-            del self._ro_active[txn]
-            self._finished[txn] = "aborted"
-            victims.add(txn)
-        resolved: List[str] = []
-        for txn in sorted(candidates):
-            touched = sorted(self._touched[txn])
-            reached_commit_point = any(
-                self.objects[name].wal.has_durable_commit(txn)
-                for name in touched
-            )
-            if reached_commit_point:
-                for name in touched:
-                    if name in names:
-                        self.objects[name].crash_commit(txn)
-                    else:
-                        self._complete_surviving_commit(name, txn)
-                self._finished[txn] = "committed"
-                resolved.append(txn)
-                self._install_versions(txn, touched)
-            else:
-                for name in touched:
-                    if name in names:
-                        self.objects[name].crash_kill(txn)
-                    else:
-                        self.objects[name].abort(txn)
-                self._finished[txn] = "aborted"
-                victims.add(txn)
-                self._drop_txn(txn)
-        self._sync_events()
-        if self.trace is not None:
-            self.trace.emit(
-                "site-failure",
-                site=site,
-                victims=sorted(victims),
-                resolved=resolved,
-            )
+        # Out of service before resolution: a resolved commit must not
+        # re-qualify a copy that just failed.
+        self._current.difference_update(names)
+        self._qualified.difference_update(names)
+        self._pending_catchup.difference_update(names)
+        victims, _ = self._crash_domain(names, "site-failure", site=site)
         return victims
-
-    def _complete_surviving_commit(self, name: str, txn: str) -> None:
-        """Finish an in-doubt commit at a healthy copy (same completion
-        as :meth:`~repro.runtime.sharding.ShardedSystem._complete_surviving_commit`):
-        make the commit record durable, forcing a held batch if needed,
-        then acknowledge."""
-        obj = self.objects[name]
-        if not obj.wal.has_durable_commit(txn):
-            obj.submit_commit(txn)
-            if not obj.commit_ready(txn):
-                obj.wal.log.force()
-        obj.complete_commit(txn)
-        self._sync_events(name)
 
     # -- site recovery ---------------------------------------------------------------
 
@@ -577,14 +480,10 @@ class ReplicatedSystem(CrashableSystem):
         stable log and is scheduled for catch-up; once caught up it
         serves writes immediately, reads only after a committed write
         re-qualifies it."""
-        if not 0 <= site < self.sites:
-            raise ValueError(
-                "site must be in 0..%d (got %d)" % (self.sites - 1, site)
-            )
+        names = self._domain_objects(site, self.sites)
         if self._site_up[site]:
             raise ReplicationError("site %d is already up" % site)
         self._site_up[site] = True
-        names = sorted(c for c, s in self._copy_site.items() if s == site)
         for name in names:
             self.objects[name].crash_and_restart()
             self._pending_catchup.add(name)
@@ -601,6 +500,14 @@ class ReplicatedSystem(CrashableSystem):
         of the run so admission does not depend on further traffic."""
         for logical in sorted(self._logical):
             self._maybe_catchup(logical)
+
+    def recover_all_sites(self) -> None:
+        """Recover every site still down, then admit pending catch-ups:
+        the quiescent end of a run, before its audit or report."""
+        for site in range(self.sites):
+            if not self._site_up[site]:
+                self.recover_site(site)
+        self.poll_catchup()
 
     def _maybe_catchup(self, logical: str) -> None:
         """Admit recovered copies of ``logical`` at a quiescent moment.
@@ -635,28 +542,8 @@ class ReplicatedSystem(CrashableSystem):
         obj = self.objects[name]
         self._sync_seq += 1
         txn = "sync.%s.%d" % (name, self._sync_seq)
-        previous = obj._response_chooser
         for operation in missed:
-            want = operation.response
-
-            def chooser(free, want=want, operation=operation):
-                for response, op in free:
-                    if response == want:
-                        return response, op
-                raise ReplicationError(
-                    "catch-up replay of %s=%r not enabled at %s"
-                    % (operation.invocation, want, name)
-                )
-
-            obj._response_chooser = chooser
-            try:
-                outcome = obj.try_operation(txn, operation.invocation)
-            finally:
-                obj._response_chooser = previous
-            if not outcome.ok:
-                raise ReplicationError(
-                    "catch-up replay %s at %s" % (outcome.status, name)
-                )
+            self._apply_forced(name, txn, operation, "catch-up replay")
         # Durable commit (forces the log if the batch is held): restart
         # after catch-up must not lose the replay.
         obj.commit(txn)
@@ -675,10 +562,7 @@ class ReplicatedSystem(CrashableSystem):
                 "recover all sites before a whole-system crash (down: %s)"
                 % [k for k, up in enumerate(self._site_up) if not up]
             )
-        victims = super().crash()
-        for txn in sorted(victims):
-            self._drop_txn(txn)
-        return victims
+        return super().crash()
 
     # -- read-only snapshot routing --------------------------------------------------
 
@@ -707,21 +591,57 @@ class ReplicatedSystem(CrashableSystem):
         )
         if target is None:
             return OperationOutcome("stuck")
-        obj = self.objects[target]
-        operation = obj.read_at(csn, invocation)
-        if operation is None:
-            return OperationOutcome("stuck")
-        self._ro_touched.setdefault(txn, set()).add(target)
-        self._ro_observations.setdefault(txn, []).append((target, operation))
-        if self.trace is not None:
-            self.trace.emit(
-                "snapshot-read",
-                txn=txn,
-                obj=target,
-                op=str(invocation),
-                csn=csn,
-            )
-        return OperationOutcome("ok", operation=operation)
+        return self._read_snapshot(txn, self.objects[target], invocation, csn)
+
+
+class SiteCrash(NamedTuple):
+    """Fail one site at a tick, recover it at a later tick (0 = leave it
+    down until the end-of-run recovery).  A plain ``(site, fail_tick,
+    recover_tick)`` tuple is the same value."""
+
+    site: int
+    fail_tick: int
+    recover_tick: int = 0
+
+    def describe(self) -> str:
+        if self.recover_tick:
+            return "site%d@%d-%d" % (self.site, self.fail_tick, self.recover_tick)
+        return "site%d@%d-end" % (self.site, self.fail_tick)
+
+    def check(self, sites: int) -> None:
+        """Raise ``ValueError`` unless this is a valid row for ``sites``."""
+        if not 0 <= self.site < sites:
+            raise ValueError("site %d out of range 0..%d" % (self.site, sites - 1))
+        if self.fail_tick < 1:
+            raise ValueError("fail tick must be >= 1")
+        if self.recover_tick and self.recover_tick <= self.fail_tick:
+            raise ValueError("recover tick must be 0 (never) or after the fail tick")
+
+
+def site_crash_hook(
+    system: ReplicatedSystem, crashes: Sequence[Tuple[int, int, int]], scheduler
+) -> Callable[[int], bool]:
+    """The scheduler ``on_tick`` hook that fails and recovers sites on
+    their scheduled ticks.  Site-failure victims restart through
+    ``scheduler.handle_crash``, like any crash victims.  Install it with
+    ``scheduler.on_tick = site_crash_hook(system, crashes, scheduler)``."""
+    schedule = [SiteCrash(*crash) for crash in crashes]
+
+    def drive_sites(tick: int) -> bool:
+        progressed = False
+        for crash in schedule:
+            if crash.fail_tick == tick and system.site_up(crash.site):
+                scheduler.handle_crash(system.fail_site(crash.site), tick)
+                progressed = True
+            if crash.recover_tick == tick and not system.site_up(crash.site):
+                system.recover_site(crash.site)
+                progressed = True
+        return progressed
+
+    drive_sites.next_wake = schedule_wake(
+        t for crash in schedule for t in (crash.fail_tick, crash.recover_tick)
+    )
+    return drive_sites
 
 
 def build_replicated_system(
@@ -743,29 +663,20 @@ def build_replicated_system(
     through the per-kind registry.
     """
     from ..adts.registry import make_adt
-    from .wal import GroupCommitPolicy, StableLog
+    from .wal import GroupCommitPolicy
 
-    recovery = recovery.upper()
     policy = GroupCommitPolicy(group_commit, hold)
-    if log_factory is None:
-        def log_factory():  # noqa: F811 — default factory
-            return StableLog(policy=policy)
-    logical_objects = []
-    for name in object_names:
-        copies = []
-        for site in range(sites):
-            adt = make_adt(adt_kind, copy_name(name, site))
-            conflict = (
-                adt.nrbc_conflict() if recovery == "UIP" else adt.nfc_conflict()
+    logical_objects = [
+        [
+            build_durable_object(
+                make_adt(adt_kind, copy_name(name, site)),
+                recovery,
+                policy=policy,
+                log_factory=log_factory,
+                compiled_conflicts=compiled_conflicts,
             )
-            copies.append(
-                DurableObject(
-                    adt,
-                    conflict,
-                    recovery,
-                    log_factory=log_factory,
-                    compiled_conflicts=compiled_conflicts,
-                )
-            )
-        logical_objects.append(copies)
+            for site in range(sites)
+        ]
+        for name in object_names
+    ]
     return ReplicatedSystem(logical_objects, sites=sites)

@@ -483,6 +483,7 @@ class Scheduler:
         unwound by a :class:`~repro.runtime.faults.CrashPoint`: the next
         ``run()`` resumes the surviving scripts.
         """
+        resumed = tick is None
         tick = tick if tick is not None else self.metrics.ticks
         for entry in self._live:
             if entry.txn in victims:
@@ -526,6 +527,12 @@ class Scheduler:
                             backoff_until=0,
                             reason="crash",
                         )
+        if resumed:
+            # The resumed ``run()`` counts ticks from 0 again: move every
+            # birth onto that clock, so a commit latency still spans the
+            # crash and birth order (which victim selection reads) holds.
+            for entry in self._live:
+                entry.born_tick -= tick
         # Crash-time retirements happen outside a scan transition: a
         # victim may have exhausted its restart budget just now, and
         # in-doubt resolution can have committed a done entry.  Sweep so

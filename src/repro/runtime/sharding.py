@@ -25,10 +25,12 @@ Design notes:
   vote and force on their own shard's logs.  The commit point is a
   durable commit record at any touched object, same as before.
 * **Partial failure** is the new capability: :meth:`ShardedSystem.crash_shard`
-  crashes one shard while the others keep running.  In-doubt
-  transactions touching the dead shard are resolved by the commit-point
-  rule — completed at every shard (healthy ones finish the commit
-  normally, the crashed one completes at recovery), or killed
+  crashes one shard while the others keep running.  It is the
+  whole-system crash protocol
+  (:meth:`~repro.runtime.durability.CrashableSystem._crash_domain`)
+  with the shard as the failure domain: in-doubt transactions touching
+  the dead shard are completed at every shard (healthy ones finish the
+  commit normally, the crashed one completes at recovery), or killed
   everywhere (healthy shards perform a clean volatile abort, the
   crashed shard simply loses them).
 * **Audit** stays the torture harness's: :func:`audit_shard` runs the
@@ -37,18 +39,18 @@ Design notes:
   dynamic atomicity — crashes at shard granularity must not be able to
   hide a global anomaly.
 
-Trace events emitted by a sharded system are stamped with the owning
-``shard`` id (see :class:`ShardTrace`), so ``repro trace-report`` and
-the EXP-C15 artifacts can attribute traffic and recovery work per
-shard.
+Trace events emitted by a sharded system's objects and logs are
+stamped with the owning ``shard`` id (the system's ``domain_key``), so
+``repro trace-report`` and the EXP-C15 artifacts can attribute traffic
+and recovery work per shard.
 """
 
 from __future__ import annotations
 
 import zlib
-from typing import Dict, List, Optional, Sequence, Set
+from typing import Dict, List, Sequence, Set
 
-from .durability import CrashableSystem, DurableObject
+from .durability import CrashableSystem, DurableObject, build_durable_object
 
 
 def shard_of(name: str, shards: int) -> int:
@@ -61,25 +63,6 @@ def shard_of(name: str, shards: int) -> int:
     if shards < 1:
         raise ValueError("shards must be >= 1 (got %d)" % shards)
     return zlib.crc32(name.encode("utf-8")) % shards
-
-
-class ShardTrace:
-    """A per-shard emit proxy: stamps every event with its shard id.
-
-    Bound in place of the raw collector on a shard's objects and logs,
-    so ``op-invoke``/``lock-wait``/``force``/``recovery`` events carry
-    ``shard`` without the emit sites knowing about sharding at all.
-    """
-
-    __slots__ = ("_inner", "shard")
-
-    def __init__(self, inner, shard: int) -> None:
-        self._inner = inner
-        self.shard = shard
-
-    def emit(self, kind: str, **fields) -> None:
-        fields.setdefault("shard", self.shard)
-        self._inner.emit(kind, **fields)
 
 
 class ShardedSystem(CrashableSystem):
@@ -95,6 +78,8 @@ class ShardedSystem(CrashableSystem):
     * the placement function the open-loop driver uses to partition
       single-shard traffic across worker processes.
     """
+
+    domain_key = "shard"
 
     def __init__(self, objects: Sequence[DurableObject], *, shards: int = 1):
         super().__init__(objects)
@@ -113,182 +98,39 @@ class ShardedSystem(CrashableSystem):
     def shard_of_object(self, name: str) -> int:
         return self._placement[name]
 
+    domain_of = shard_of_object
+
     def shard_objects(self, shard: int) -> List[str]:
         """The object names owned by ``shard``, sorted."""
         return sorted(n for n, s in self._placement.items() if s == shard)
-
-    def shards_touched(self, txn: str) -> Set[int]:
-        """The shards a transaction has touched so far."""
-        return {
-            self._placement[name] for name in self._touched.get(txn, ())
-        }
-
-    # -- tracing -----------------------------------------------------------------
-
-    def bind_trace(self, collector) -> None:
-        """Bind a trace collector, stamping object/log events per shard.
-
-        Called by :meth:`TraceCollector.bind_system` in place of its
-        flat-system wiring.  System-level events (2PC phases, crashes)
-        stay unstamped — they span shards.
-        """
-        self.trace = collector
-        for name, obj in self.objects.items():
-            proxy = ShardTrace(collector, self._placement[name])
-            obj.trace = proxy
-            log = getattr(getattr(obj, "wal", None), "log", None)
-            if log is not None:
-                log.trace = proxy
-                log.trace_name = name
 
     # -- per-shard accounting ------------------------------------------------------
 
     def force_accounting_by_shard(self) -> List[Dict[str, int]]:
         """``(forces, force_requests, forced_records)`` per shard."""
-        rows = [
-            {"shard": k, "forces": 0, "force_requests": 0, "forced_records": 0}
-            for k in range(self.shards)
-        ]
-        for name, obj in self.objects.items():
-            log = getattr(getattr(obj, "wal", None), "log", None)
-            if log is None:
-                continue
-            row = rows[self._placement[name]]
-            row["forces"] += log.forces
-            row["force_requests"] += log.force_requests
-            row["forced_records"] += log.forced_records
-        return rows
+        return self._force_accounting_by_domain(self.shards)
 
     # -- partial failure -----------------------------------------------------------
 
     def crash_shard(self, shard: int) -> Set[str]:
         """Crash one shard; the others keep their volatile state.
 
-        The shard's protocol mirrors the whole-system crash, scoped to
-        the shard's objects:
-
-        1. mirror unreported object-local events into the global history;
-        2. the shard's stable logs lose their volatile tails (held
-           group-commit batches die unflushed);
-        3. **in-doubt resolution** for every unfinished transaction that
-           touched the shard: committed iff a commit record *survives*
-           at any object it touched — durable on a crashed shard's
-           stable log, or still held (volatile or durable) at a healthy
-           shard, whose process is alive and makes the record durable
-           during resolution.  Resolution completes, never retracts:
-           resolved commits finish everywhere (healthy objects through
-           the normal pipeline, forcing held batches; crashed objects
-           through the recovery path).  Everything else is killed
-           everywhere: crashed objects just record the abort event (no
-           undo is possible), healthy objects perform a clean volatile
-           abort.
-        4. read-only snapshot transactions that read from the shard are
-           killed (their snapshot registration is volatile); readers
-           confined to healthy shards continue — version chains are
-           never retracted, so their snapshots remain valid;
-        5. the shard's objects lose volatile state and restart from
-           their stable logs.
-
-        Transactions that never touched the shard are untouched: their
-        locks, intentions and commit pipelines keep running.  Returns
-        the transactions killed by the crash.
+        Runs the crash protocol
+        (:meth:`~repro.runtime.durability.CrashableSystem._crash_domain`)
+        over the shard's objects, then restarts them from their stable
+        logs.  In-doubt commits touching the shard complete everywhere
+        (healthy objects force held commit records durable) or die
+        everywhere; snapshot readers die only if they read from the
+        shard.  Transactions that never touched the shard keep their
+        locks, intentions and commit pipelines.  Returns the
+        transactions killed by the crash.
         """
-        if not 0 <= shard < self.shards:
-            raise ValueError(
-                "shard must be in 0..%d (got %d)" % (self.shards - 1, shard)
-            )
-        names = set(self.shard_objects(shard))
+        names = self._domain_objects(shard, self.shards)
         self.shard_crashes[shard] += 1
-        self._sync_events()
-        # Commit pipelines that depend on the dead shard's logs cannot
-        # proceed; drop them and resolve the transactions below.
-        doomed = [
-            txn
-            for txn, pending in self._committing.items()
-            if names.intersection(pending.touched)
-        ]
-        for txn in doomed:
-            del self._committing[txn]
-        for name in sorted(names):
-            self.objects[name].wal.log.crash()
-        candidates = [
-            txn
-            for txn, touched in self._touched.items()
-            if txn not in self._finished and touched & names
-        ]
-        victims: Set[str] = set()
-        # Read-only snapshot transactions die only if they actually read
-        # from the crashed shard (their registration lives with the
-        # system, but the observation is attributed to the shard that
-        # served it).  Readers confined to healthy shards keep going:
-        # version chains are never retracted, so their snapshot stays
-        # valid even while the crashed shard recovers.
-        ro_victims = [
-            txn
-            for txn, observed in self._ro_touched.items()
-            if txn in self._ro_active and observed & names
-        ]
-        for txn in sorted(ro_victims):
-            del self._ro_active[txn]
-            self._finished[txn] = "aborted"
-            victims.add(txn)
-        resolved: List[str] = []
-        for txn in sorted(candidates):
-            touched = sorted(self._touched[txn])
-            reached_commit_point = any(
-                self.objects[name].wal.has_durable_commit(txn)
-                for name in touched
-            )
-            if reached_commit_point:
-                for name in touched:
-                    if name in names:
-                        self.objects[name].crash_commit(txn)
-                    else:
-                        self._complete_surviving_commit(name, txn)
-                self._finished[txn] = "committed"
-                resolved.append(txn)
-                # Durable everywhere it touched: stamp the version under
-                # a fresh CSN, as the normal completion would have.
-                self._install_versions(txn, touched)
-            else:
-                for name in touched:
-                    if name in names:
-                        self.objects[name].crash_kill(txn)
-                    else:
-                        self.objects[name].abort(txn)
-                self._finished[txn] = "aborted"
-                victims.add(txn)
-        self._sync_events()
-        if self.trace is not None:
-            self.trace.emit(
-                "shard-crash",
-                shard=shard,
-                victims=sorted(victims),
-                resolved=resolved,
-            )
-        for name in sorted(names):
+        victims, _ = self._crash_domain(names, "shard-crash", shard=shard)
+        for name in names:
             self.objects[name].crash_and_restart()
         return victims
-
-    def _complete_surviving_commit(self, name: str, txn: str) -> None:
-        """Finish an in-doubt commit at a healthy (non-crashed) object.
-
-        The object's volatile state is intact, so the commit completes
-        through the normal pipeline rather than the recovery path: make
-        the commit record durable (forcing the log if a held batch was
-        still parking it), then acknowledge — release locks, apply the
-        recovery manager's completion, record the commit event.
-        """
-        obj = self.objects[name]
-        if not obj.wal.has_durable_commit(txn):
-            # Either the commit record is sitting in a held batch, or it
-            # was never submitted; a force after (re)submission covers
-            # both, and duplicate commit records are harmless to replay.
-            obj.submit_commit(txn)
-            if not obj.commit_ready(txn):
-                obj.wal.log.force()
-        obj.complete_commit(txn)
-        self._sync_events(name)
 
 
 def build_sharded_system(
@@ -311,28 +153,19 @@ def build_sharded_system(
     compiler per instance.
     """
     from ..adts.registry import make_adt
-    from .wal import GroupCommitPolicy, StableLog
+    from .wal import GroupCommitPolicy
 
-    recovery = recovery.upper()
     policy = GroupCommitPolicy(group_commit, hold)
-    if log_factory is None:
-        def log_factory():  # noqa: F811 — default factory
-            return StableLog(policy=policy)
-    objects = []
-    for name in object_names:
-        adt = make_adt(adt_kind, name)
-        conflict = (
-            adt.nrbc_conflict() if recovery == "UIP" else adt.nfc_conflict()
+    objects = [
+        build_durable_object(
+            make_adt(adt_kind, name),
+            recovery,
+            policy=policy,
+            log_factory=log_factory,
+            compiled_conflicts=compiled_conflicts,
         )
-        objects.append(
-            DurableObject(
-                adt,
-                conflict,
-                recovery,
-                log_factory=log_factory,
-                compiled_conflicts=compiled_conflicts,
-            )
-        )
+        for name in object_names
+    ]
     return ShardedSystem(objects, shards=shards)
 
 
@@ -359,20 +192,8 @@ def audit_shard(
 
     return audit_recovery(
         system,
-        _AuditLabel(label or "shard%d" % shard),
+        label or "shard%d" % shard,
         schedule,
         names=system.shard_objects(shard),
         check_atomicity=check_atomicity,
     )
-
-
-class _AuditLabel:
-    """Minimal stand-in for TortureConfig where only ``label()`` is read."""
-
-    __slots__ = ("_label",)
-
-    def __init__(self, label: str) -> None:
-        self._label = label
-
-    def label(self) -> str:
-        return self._label

@@ -615,19 +615,22 @@ class TransactionSystem:
         where the committed state itself can be poisoned)."""
         self._require_active(txn)
         csn = self.begin_readonly(txn)
-        obj = self.object(obj_name)
+        return self._read_snapshot(txn, self.object(obj_name), invocation, csn)
+
+    def _read_snapshot(
+        self, txn: str, obj: ManagedObject, invocation: Invocation, csn: int
+    ) -> OperationOutcome:
+        """Serve one snapshot read at ``obj`` and record what it observed."""
         operation = obj.read_at(csn, invocation)
         if operation is None:
             return OperationOutcome("stuck")
-        self._ro_touched.setdefault(txn, set()).add(obj_name)
-        self._ro_observations.setdefault(txn, []).append(
-            (obj_name, operation)
-        )
+        self._ro_touched.setdefault(txn, set()).add(obj.name)
+        self._ro_observations.setdefault(txn, []).append((obj.name, operation))
         if self.trace is not None:
             self.trace.emit(
                 "snapshot-read",
                 txn=txn,
-                obj=obj_name,
+                obj=obj.name,
                 op=str(invocation),
                 csn=csn,
             )

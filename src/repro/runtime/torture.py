@@ -48,11 +48,17 @@ from ..core.atomicity import SpecsLike, TooManyOrdersError
 from ..core.fast_atomicity import fast_is_dynamic_atomic
 from ..core.history import History
 from ..core.views import DU, UIP
-from .durability import CrashableSystem, DurableObject
+from .durability import CrashableSystem, build_durable_object
 from .faults import CrashPoint, FaultPlan, FaultyStableLog, RetryPolicy
 from .metrics import FaultCounters
-from .replication import ReplicatedSystem, ReplicationError, build_replicated_system
-from .scheduler import Scheduler, periodic_wake, schedule_wake
+from .replication import (
+    ReplicatedSystem,
+    ReplicationError,
+    SiteCrash,
+    build_replicated_system,
+    site_crash_hook,
+)
+from .scheduler import Scheduler, periodic_wake
 from .wal import CommitRecord, GroupCommitPolicy, IntentionsRecord
 from .workloads import (
     escrow_workload,
@@ -207,15 +213,11 @@ def build_system(
 ) -> Tuple[CrashableSystem, object]:
     """A single-object crashable system wired to the fault plan."""
     adt = make_adt(config.adt_kind)
-    conflict = (
-        adt.nrbc_conflict() if config.recovery == "UIP" else adt.nfc_conflict()
-    )
     counters = counters if counters is not None else FaultCounters()
     skip = config.bug == "skip-commit-force"
     policy = GroupCommitPolicy(config.group_commit, config.hold)
-    obj = DurableObject(
+    obj = build_durable_object(
         adt,
-        conflict,
         config.recovery,
         restart_policy=config.restart_policy,
         log_factory=lambda: FaultyStableLog(
@@ -250,7 +252,7 @@ class Violation:
 
 def audit_recovery(
     system: CrashableSystem,
-    config: TortureConfig,
+    label: str,
     schedule: str,
     *,
     names: Optional[Sequence[str]] = None,
@@ -270,7 +272,6 @@ def audit_recovery(
     :func:`audit_atomicity` for ``unchecked``.
     """
     violations: List[Violation] = []
-    label = config.label()
     specs = {name: obj.adt for name, obj in system.objects.items()}
     audited = (
         sorted(system.objects.items())
@@ -393,6 +394,22 @@ class ScheduleResult:
     unchecked: int
 
 
+def _scheduler(
+    config: TortureConfig, system, scripts, seed: int, trace=None, on_tick=None
+) -> Scheduler:
+    """A scheduler for one torture run under the config's limits."""
+    return Scheduler(
+        system,
+        scripts,
+        seed=seed,
+        max_restarts=config.max_restarts,
+        max_ticks=config.max_ticks,
+        label=config.label(),
+        on_tick=on_tick,
+        trace=trace,
+    )
+
+
 def run_schedule(
     config: TortureConfig,
     plan: FaultPlan,
@@ -429,15 +446,13 @@ def run_schedule(
 
     maybe_checkpoint.next_wake = periodic_wake(config.checkpoint_every)
 
-    scheduler = Scheduler(
+    scheduler = _scheduler(
+        config,
         system,
         scripts,
-        seed=seed,
-        max_restarts=config.max_restarts,
-        max_ticks=config.max_ticks,
-        label=config.label(),
+        seed,
+        trace,
         on_tick=maybe_checkpoint if config.checkpoint_every else None,
-        trace=trace,
     )
     while True:
         try:
@@ -446,13 +461,13 @@ def run_schedule(
         except CrashPoint:
             victims = system.crash()
             violations.extend(
-                audit_recovery(system, config, schedule, unchecked=unchecked)
+                audit_recovery(system, config.label(), schedule, unchecked=unchecked)
             )
             scheduler.handle_crash(victims)
     # Final clean crash: even a fault-free schedule must restart cleanly.
     system.crash()
     violations.extend(
-        audit_recovery(system, config, schedule, unchecked=unchecked)
+        audit_recovery(system, config.label(), schedule, unchecked=unchecked)
     )
     scheduler.metrics.faults = counters
     return ScheduleResult(
@@ -476,13 +491,7 @@ def profile_horizon(config: TortureConfig, *, seed: int = 0) -> int:
     counters = FaultCounters()
     system, adt = build_system(config, plan, counters)
     scripts = workload_for(config, adt, random.Random(seed))
-    Scheduler(
-        system,
-        scripts,
-        seed=seed,
-        max_restarts=config.max_restarts,
-        max_ticks=config.max_ticks,
-    ).run()
+    _scheduler(config, system, scripts, seed).run()
     return max(1, plan.clock)
 
 
@@ -700,21 +709,6 @@ def _merge_schedule(report: TortureReport, result: ScheduleResult) -> None:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SiteCrash:
-    """Fail one site at a tick, recover it at a later tick (0 = leave it
-    down until the end-of-run recovery)."""
-
-    site: int
-    fail_tick: int
-    recover_tick: int = 0
-
-    def describe(self) -> str:
-        if self.recover_tick:
-            return "site%d@%d-%d" % (self.site, self.fail_tick, self.recover_tick)
-        return "site%d@%d-end" % (self.site, self.fail_tick)
-
-
 def describe_site_schedule(crashes: Sequence[SiteCrash]) -> str:
     return ",".join(c.describe() for c in crashes) or "no-crashes"
 
@@ -836,44 +830,13 @@ def run_site_schedule(
     if trace is not None:
         trace.emit("schedule-start", label=config.label(), plan=schedule)
 
-    def drive_sites(tick: int) -> bool:
-        progressed = False
-        for crash in crashes:
-            if crash.fail_tick == tick and system.site_up(crash.site):
-                victims = system.fail_site(crash.site)
-                scheduler.handle_crash(victims, tick)
-                progressed = True
-            if (
-                crash.recover_tick
-                and crash.recover_tick == tick
-                and not system.site_up(crash.site)
-            ):
-                system.recover_site(crash.site)
-                progressed = True
-        return progressed
-
-    drive_sites.next_wake = schedule_wake(
-        t for crash in crashes for t in (crash.fail_tick, crash.recover_tick)
-    )
-
-    scheduler = Scheduler(
-        system,
-        scripts,
-        seed=seed,
-        max_restarts=config.max_restarts,
-        max_ticks=config.max_ticks,
-        label=config.label(),
-        on_tick=drive_sites,
-        trace=trace,
-    )
+    scheduler = _scheduler(config, system, scripts, seed, trace)
+    scheduler.on_tick = site_crash_hook(system, crashes, scheduler)
     committed = 0
     try:
         scheduler.run()
         committed = scheduler.metrics.committed
-        for site in range(config.sites):
-            if not system.site_up(site):
-                system.recover_site(site)
-        system.poll_catchup()
+        system.recover_all_sites()
         violations.extend(
             audit_replication(system, config, schedule, unchecked=unchecked)
         )
@@ -881,7 +844,7 @@ def run_site_schedule(
         # log and the single-site invariants must hold per copy.
         system.crash()
         violations.extend(
-            audit_recovery(system, config, schedule, unchecked=unchecked)
+            audit_recovery(system, config.label(), schedule, unchecked=unchecked)
         )
     except ReplicationError as exc:
         # Lockstep divergence (a mirrored or replayed operation was not
@@ -911,14 +874,7 @@ def profile_site_horizon(config: TortureConfig, *, seed: int = 0) -> int:
     their fail/recover points from."""
     system, adt = build_replicated_torture_system(config)
     scripts = workload_for(config, adt, random.Random(seed))
-    metrics = Scheduler(
-        system,
-        scripts,
-        seed=seed,
-        max_restarts=config.max_restarts,
-        max_ticks=config.max_ticks,
-    ).run()
-    return max(2, metrics.ticks)
+    return max(2, _scheduler(config, system, scripts, seed).run().ticks)
 
 
 def plan_site_campaign(

@@ -109,6 +109,10 @@ EVENT_SCHEMA: Dict[str, Tuple[str, ...]] = {
 #: ``txn-abort`` reasons with a defined meaning.
 ABORT_REASONS = ("deadlock", "stuck", "crash")
 
+#: the kinds that record a crash of a failure domain: every object,
+#: one shard, one site.
+FAILURE_KINDS = ("crash", "shard-crash", "site-failure")
+
 
 class TraceCollector:
     """Collects tick-stamped runtime events for one (or more) runs.
@@ -143,21 +147,20 @@ class TraceCollector:
         the system itself (2PC/crash events), every managed object
         (lock-wait attribution) and every stable log (force engine).
 
-        A system that needs custom wiring — the sharded runtime stamps
-        object/log events with their shard id — exposes ``bind_trace``
-        and takes over from here.
+        A system with failure domains — shards or sites — names their
+        kind in ``domain_key``; its object and log events then carry
+        the owning domain's id (``shard``/``site``) from ``domain_of``.
+        System-level events stay unstamped: they span domains.
         """
-        binder = getattr(system, "bind_trace", None)
-        if binder is not None:
-            binder(self)
-            return
         system.trace = self
-        for obj in system.objects.values():
-            obj.trace = self
+        key = getattr(system, "domain_key", None)
+        for name, obj in system.objects.items():
+            emit = self if key is None else StampedTrace(self, key, system.domain_of(name))
+            obj.trace = emit
             log = getattr(getattr(obj, "wal", None), "log", None)
             if log is not None:
-                log.trace = self
-                log.trace_name = obj.name
+                log.trace = emit
+                log.trace_name = name
 
     # -- serialization ---------------------------------------------------------
 
@@ -168,6 +171,23 @@ class TraceCollector:
                 fp.write(json.dumps(event, sort_keys=True))
                 fp.write("\n")
         return len(self.events)
+
+
+class StampedTrace:
+    """An emit proxy that stamps every event with one field, such as
+    the ``shard`` or ``site`` id of the objects it is bound to, without
+    the emit sites knowing about failure domains."""
+
+    __slots__ = ("_inner", "_key", "_value")
+
+    def __init__(self, inner: TraceCollector, key: str, value: int) -> None:
+        self._inner = inner
+        self._key = key
+        self._value = value
+
+    def emit(self, kind: str, **fields: Any) -> None:
+        fields.setdefault(self._key, self._value)
+        self._inner.emit(kind, **fields)
 
 
 def load_jsonl(path: str) -> List[Dict[str, Any]]:
@@ -296,17 +316,21 @@ def reconstruct_counters(events: Sequence[Dict[str, Any]]) -> Dict[str, int]:
 
 
 class ReconcileResult:
-    """Reconstructed vs reported counters for one run segment."""
+    """Reconstructed vs reported counters for one run segment, plus the
+    segment's commits with a negative latency (committed before they
+    were born), which no correct run has."""
 
     def __init__(
         self,
         label: str,
         reconstructed: Dict[str, int],
         reported: Dict[str, int],
+        negative_latencies: int = 0,
     ) -> None:
         self.label = label
         self.reconstructed = reconstructed
         self.reported = reported
+        self.negative_latencies = negative_latencies
 
     @property
     def mismatches(self) -> Dict[str, Tuple[int, int]]:
@@ -317,6 +341,8 @@ class ReconcileResult:
             want = int(self.reported.get(name, 0))
             if got != want:
                 out[name] = (got, want)
+        if self.negative_latencies:
+            out["negative_latency"] = (self.negative_latencies, 0)
         return out
 
     @property
@@ -350,6 +376,12 @@ def reconcile(events: Sequence[Dict[str, Any]]) -> List[ReconcileResult]:
                     label=str(event.get("label", "")),
                     reconstructed=reconstruct_counters(segment),
                     reported=dict(event["metrics"]),
+                    negative_latencies=sum(
+                        1
+                        for e in segment
+                        if e["kind"] in ("txn-commit", "ro-commit")
+                        and e["latency"] < 0
+                    ),
                 )
             )
             segment = None
@@ -581,14 +613,12 @@ def format_trace_report(events: Sequence[Dict[str, Any]]) -> str:
             )
         )
 
-    # crashes
-    crash_count = kinds.get("crash", 0)
-    if crash_count:
-        resolved = sum(
-            len(e.get("resolved", ())) for e in events if e["kind"] == "crash"
-        )
+    # crashes of every failure domain
+    failures = [e for e in events if e["kind"] in FAILURE_KINDS]
+    if failures:
+        resolved = sum(len(e.get("resolved", ())) for e in failures)
         lines.append(
             "crashes: %d (scheduler victims restarted: %d, in-doubt commits "
-            "resolved: %d)" % (crash_count, counters["crash_aborts"], resolved)
+            "resolved: %d)" % (len(failures), counters["crash_aborts"], resolved)
         )
     return "\n".join(lines)
